@@ -3,7 +3,7 @@
 
 use core::fmt::Write as _;
 
-use mpw_tcp::wire::{parse_any, MptcpOption, Packet, TcpOption};
+use mpw_tcp::wire::{parse_any, tcp_flags, MptcpOption, Packet, TcpOption};
 
 use crate::pcapng::PcapFile;
 
@@ -26,7 +26,7 @@ pub fn format_packet(iface: &str, at_nanos: u64, data: &[u8], comment: Option<&s
                 seg.src_port,
                 ip.dst,
                 seg.dst_port,
-                mpw_sim::trace::flags::tcpdump_str(seg.flags),
+                tcp_flags::tcpdump_str(seg.flags),
                 seg.seq.0,
                 seg.ack.0,
                 seg.window,

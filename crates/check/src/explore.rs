@@ -29,7 +29,7 @@
 //! from the fixed initial state (connections are not cloneable, and replay
 //! keeps the checker honest: a counterexample *is* its action list). On a
 //! violation the path is shrunk by greedy action deletion and printed as a
-//! tcpdump-style trace replayed through [`mpw_sim::trace`].
+//! tcpdump-style transcript of every segment the replay sends and delivers.
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
@@ -39,7 +39,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use bytes::Bytes;
 use mpw_mptcp::conn::{MptcpConfig, MptcpConnection, SynMode};
 use mpw_mptcp::Coupling;
-use mpw_sim::trace::{flags, Dir as TraceDir, SegmentRecord, Trace, TraceEvent, TraceLevel};
 use mpw_sim::{SimDuration, SimRng, SimTime};
 use mpw_tcp::wire::{encode_packet, parse_packet, tcp_flags, Addr, Endpoint, IpHeader, PROTO_TCP};
 use mpw_tcp::TcpSegment;
@@ -213,8 +212,18 @@ struct Sut {
     expected: Vec<u8>,
     server_rx: Vec<u8>,
     client_rx: Vec<u8>,
-    /// Optional replay trace (counterexample printing).
-    trace: Option<Trace>,
+    /// Segment log for counterexample printing, kept only when asked for.
+    log: Option<Vec<Logged>>,
+}
+
+/// One segment in a counterexample transcript: sent into a queue (`snd`)
+/// or delivered to an endpoint (`rcv`).
+struct Logged {
+    at: SimTime,
+    verb: &'static str,
+    from_client: bool,
+    subflow: usize,
+    seg: TcpSegment,
 }
 
 fn mptcp_config(cfg: &CheckConfig) -> MptcpConfig {
@@ -230,7 +239,7 @@ fn mptcp_config(cfg: &CheckConfig) -> MptcpConfig {
 }
 
 impl Sut {
-    fn new(cfg: &CheckConfig, with_trace: bool) -> Result<Sut, String> {
+    fn new(cfg: &CheckConfig, with_log: bool) -> Result<Sut, String> {
         let mut client = MptcpConnection::connect(
             mptcp_config(cfg),
             1,
@@ -267,11 +276,23 @@ impl Sut {
             expected,
             server_rx: Vec::new(),
             client_rx: Vec::new(),
-            trace: with_trace.then(|| Trace::new(TraceLevel::Full)),
+            log: with_log.then(Vec::new),
         };
         sut.pump()?;
         sut.health_check()?;
         Ok(sut)
+    }
+
+    fn log(&mut self, verb: &'static str, from_client: bool, subflow: usize, seg: &TcpSegment) {
+        if let Some(log) = &mut self.log {
+            log.push(Logged {
+                at: self.now,
+                verb,
+                from_client,
+                subflow,
+                seg: seg.clone(),
+            });
+        }
     }
 
     /// Send a segment into a queue, round-tripping it through the wire
@@ -292,9 +313,7 @@ impl Sut {
                 w.seg, pseg
             ));
         }
-        if let Some(t) = &mut self.trace {
-            t.emit(self.now, TraceEvent::SegSent(record(from_client, subflow, &pseg)));
-        }
+        self.log("snd", from_client, subflow, &pseg);
         let q = if from_client { &mut self.c2s } else { &mut self.s2c };
         q.push_back(Wire { seg: pseg, ..w });
         Ok(())
@@ -374,9 +393,7 @@ impl Sut {
             .subflows
             .iter()
             .position(|sf| sf.local == w.dst && sf.remote == w.src);
-        if let Some(t) = &mut self.trace {
-            t.emit(self.now, TraceEvent::SegRecvd(record(false, idx.unwrap_or(0), &w.seg)));
-        }
+        self.log("rcv", false, idx.unwrap_or(0), &w.seg);
         if let Some(idx) = idx {
             self.client.on_segment(idx, &w.seg, self.now);
         }
@@ -393,9 +410,7 @@ impl Sut {
                         .iter()
                         .position(|sf| sf.local == w.dst && sf.remote == w.src)
                 });
-            if let Some(t) = &mut self.trace {
-                t.emit(self.now, TraceEvent::SegRecvd(record(true, idx.unwrap_or(0), &w.seg)));
-            }
+            self.log("rcv", true, idx.unwrap_or(0), &w.seg);
             if let Some(server) = self.server.as_mut() {
                 if let Some(idx) = idx {
                     server.on_segment(idx, &w.seg, self.now);
@@ -407,9 +422,7 @@ impl Sut {
             }
             return Ok(());
         }
-        if let Some(t) = &mut self.trace {
-            t.emit(self.now, TraceEvent::SegRecvd(record(true, 0, &w.seg)));
-        }
+        self.log("rcv", true, 0, &w.seg);
         if !w.seg.has(tcp_flags::SYN) || w.seg.has(tcp_flags::ACK) {
             return Ok(()); // no listener state for this frame; drop
         }
@@ -626,24 +639,6 @@ impl Sut {
     }
 }
 
-fn record(sent_by_client: bool, subflow: usize, seg: &TcpSegment) -> SegmentRecord {
-    SegmentRecord {
-        conn: 1,
-        subflow: subflow as u8,
-        dir: if sent_by_client {
-            TraceDir::ClientToServer
-        } else {
-            TraceDir::ServerToClient
-        },
-        seq: seg.seq.0,
-        ack: seg.ack.0,
-        len: seg.payload.len() as u32,
-        flags: flags::from_wire(seg.flags),
-        dseq: seg.dss().and_then(|(_, m, _)| m.map(|mm| mm.dseq)),
-        is_rexmit: false,
-    }
-}
-
 fn hash_wire(h: &mut impl Hasher, w: &Wire) {
     h.write_u32(w.src.addr.0);
     h.write_u16(w.src.port);
@@ -682,8 +677,8 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 /// Deterministically re-execute `path` from the initial state. Oracle
 /// panics (the `debug_check` walls inside the stack) are caught and
 /// converted into violations.
-fn replay(cfg: &CheckConfig, path: &[Action], with_trace: bool) -> Replayed {
-    let mut sut = match catch_unwind(AssertUnwindSafe(|| Sut::new(cfg, with_trace))) {
+fn replay(cfg: &CheckConfig, path: &[Action]) -> Replayed {
+    let mut sut = match catch_unwind(AssertUnwindSafe(|| Sut::new(cfg, false))) {
         Ok(Ok(s)) => s,
         Ok(Err(e)) => return Replayed::Violation { message: e },
         Err(p) => {
@@ -713,7 +708,7 @@ fn replay(cfg: &CheckConfig, path: &[Action], with_trace: bool) -> Replayed {
 }
 
 fn violates(cfg: &CheckConfig, path: &[Action]) -> Option<String> {
-    match replay(cfg, path, false) {
+    match replay(cfg, path) {
         Replayed::Violation { message } => Some(message),
         Replayed::Infeasible => None,
         Replayed::Ok(sut) => {
@@ -771,7 +766,7 @@ pub fn explore(cfg: &CheckConfig) -> ExploreResult {
 
 fn explore_inner(cfg: &CheckConfig) -> ExploreResult {
     let mut res = ExploreResult::default();
-    let root = match replay(cfg, &[], false) {
+    let root = match replay(cfg, &[]) {
         Replayed::Ok(s) => s,
         Replayed::Infeasible => unreachable!("empty schedule is always feasible"),
         Replayed::Violation { message } => {
@@ -786,7 +781,7 @@ fn explore_inner(cfg: &CheckConfig) -> ExploreResult {
 
     while let Some(path) = stack.pop() {
         res.deepest = res.deepest.max(path.len());
-        let node = match replay(cfg, &path, false) {
+        let node = match replay(cfg, &path) {
             Replayed::Ok(s) => s,
             // Both arms are unreachable for paths the search itself built
             // (they were replayed cleanly once already), but stay defensive.
@@ -813,7 +808,7 @@ fn explore_inner(cfg: &CheckConfig) -> ExploreResult {
             let mut child = path.clone();
             child.push(a);
             res.transitions += 1;
-            match replay(cfg, &child, false) {
+            match replay(cfg, &child) {
                 Replayed::Ok(s) => {
                     if seen.insert(s.fingerprint()) {
                         res.states += 1;
@@ -835,7 +830,7 @@ fn explore_inner(cfg: &CheckConfig) -> ExploreResult {
     res
 }
 
-/// Replay a (counterexample) schedule through [`mpw_sim::trace`] and render
+/// Replay a (counterexample) schedule with the segment log on and render
 /// it as a step-by-step tcpdump-style transcript.
 pub fn format_trace(cfg: &CheckConfig, path: &[Action]) -> String {
     with_quiet_panics(|| {
@@ -847,11 +842,11 @@ pub fn format_trace(cfg: &CheckConfig, path: &[Action]) -> String {
         };
         let mut cursor = 0;
         let flush = |sut: &Sut, out: &mut String, cursor: &mut usize| {
-            if let Some(t) = &sut.trace {
-                for (at, ev) in &t.records()[*cursor..] {
-                    out.push_str(&format!("    {}\n", render_event(*at, ev)));
+            if let Some(log) = &sut.log {
+                for l in &log[*cursor..] {
+                    out.push_str(&format!("    {}\n", render_event(l)));
                 }
-                *cursor = t.records().len();
+                *cursor = log.len();
             }
         };
         out.push_str("  #0 <initial pump>\n");
@@ -887,31 +882,22 @@ pub fn format_trace(cfg: &CheckConfig, path: &[Action]) -> String {
     })
 }
 
-fn render_event(at: SimTime, ev: &TraceEvent) -> String {
-    let fmt_rec = |verb: &str, r: &SegmentRecord| {
-        let dir = match r.dir {
-            TraceDir::ClientToServer => "c→s",
-            TraceDir::ServerToClient => "s→c",
-        };
-        let dseq = match r.dseq {
-            Some(d) => format!(" dseq {d}"),
-            None => String::new(),
-        };
-        format!(
-            "{:>9} {verb} {dir} sf{} {} seq {} ack {} len {}{dseq}",
-            format!("{at:?}"),
-            r.subflow,
-            flags::tcpdump_str(r.flags),
-            r.seq,
-            r.ack,
-            r.len,
-        )
+fn render_event(l: &Logged) -> String {
+    let dir = if l.from_client { "c→s" } else { "s→c" };
+    let dseq = match l.seg.dss().and_then(|(_, m, _)| m.map(|mm| mm.dseq)) {
+        Some(d) => format!(" dseq {d}"),
+        None => String::new(),
     };
-    match ev {
-        TraceEvent::SegSent(r) => fmt_rec("snd", r),
-        TraceEvent::SegRecvd(r) => fmt_rec("rcv", r),
-        other => format!("{at:?} {other:?}"),
-    }
+    format!(
+        "{:>9} {} {dir} sf{} {} seq {} ack {} len {}{dseq}",
+        format!("{:?}", l.at),
+        l.verb,
+        l.subflow,
+        tcp_flags::tcpdump_str(l.seg.flags),
+        l.seg.seq.0,
+        l.seg.ack.0,
+        l.seg.payload.len(),
+    )
 }
 
 #[cfg(test)]
@@ -930,8 +916,8 @@ mod tests {
     #[test]
     fn replay_is_deterministic() {
         let cfg = CheckConfig { depth: 4, ..CheckConfig::default() };
-        let a = replay(&cfg, &[], false);
-        let b = replay(&cfg, &[], false);
+        let a = replay(&cfg, &[]);
+        let b = replay(&cfg, &[]);
         let (Replayed::Ok(a), Replayed::Ok(b)) = (a, b) else {
             panic!("root replay failed");
         };
@@ -939,7 +925,7 @@ mod tests {
         // One in-order handshake step, replayed twice, agrees too.
         let p = [Action::Deliver(NetDir::C2s, 0)];
         let (Replayed::Ok(a), Replayed::Ok(b)) =
-            (replay(&cfg, &p, false), replay(&cfg, &p, false))
+            (replay(&cfg, &p), replay(&cfg, &p))
         else {
             panic!("step replay failed");
         };
@@ -951,7 +937,7 @@ mod tests {
         // Alternate-until-quiescent delivery must finish the whole story:
         // handshake, join, upload, DATA_FIN both ways, subflow teardown.
         let cfg = CheckConfig { depth: 0, ..CheckConfig::default() };
-        let Replayed::Ok(mut sut) = replay(&cfg, &[], false) else {
+        let Replayed::Ok(mut sut) = replay(&cfg, &[]) else {
             panic!("root replay failed");
         };
         for _ in 0..10_000 {

@@ -12,7 +12,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
-use mpw_sim::trace::{Dir, DropReason, SegmentRecord, TraceEvent, TraceLevel};
+use mpw_sim::trace::{DropReason, TraceEvent};
 use mpw_sim::{Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime, TimerHandle};
 use mpw_tcp::wire::{tcp_flags, PingPacket};
 use mpw_tcp::{
@@ -274,7 +274,6 @@ pub struct Host {
     /// live handle and the instant it fires; rescheduled in place when the
     /// earliest deadline moves, so no stale timer events ever fire.
     armed: Option<(TimerHandle, SimTime)>,
-    is_client_role: bool,
     /// Slots touched since the last flush (incoming segment, fired timer,
     /// external mutation, fresh open). `flush` pumps exactly these, in
     /// ascending slot order, so per-event work scales with the slots an
@@ -291,9 +290,10 @@ pub struct Host {
 
 impl Host {
     /// Create a host with the given interface addresses. `conn_id_base`
-    /// namespaces this host's locally initiated connection ids; `is_client`
-    /// orients trace direction labels.
-    pub fn new(addrs: Vec<Addr>, conn_id_base: u32, is_client: bool, rng: SimRng) -> Self {
+    /// namespaces this host's locally initiated connection ids.
+    /// `_is_client` names the host's role; the host behaves the same either
+    /// way.
+    pub fn new(addrs: Vec<Addr>, conn_id_base: u32, _is_client: bool, rng: SimRng) -> Self {
         let n = addrs.len();
         Host {
             addrs,
@@ -315,7 +315,6 @@ impl Host {
             conn_id_base,
             rng,
             armed: None,
-            is_client_role: is_client,
             dirty: BTreeSet::new(),
             deadlines: BTreeMap::new(),
             no_socket_drops: 0,
@@ -423,12 +422,9 @@ impl Host {
             .or_else(|| self.iface_links.iter().flatten().next().copied())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn emit_segment(
         &mut self,
         ctx: &mut Ctx<'_>,
-        conn_id: u32,
-        subflow: usize,
         local: Endpoint,
         remote: Endpoint,
         if_index: u8,
@@ -441,14 +437,6 @@ impl Host {
             ttl: 64,
         };
         let bytes = encode_packet(&ip, seg);
-        if ctx.trace_level() == TraceLevel::Full {
-            ctx.trace(TraceEvent::SegSent(record(
-                conn_id,
-                subflow,
-                seg,
-                self.is_client_role,
-            )));
-        }
         let Some(egress) = self.egress_for(if_index, remote.addr) else {
             return;
         };
@@ -490,18 +478,17 @@ impl Host {
                             .poll_transmit(now)
                             .map(|(sf, seg)| {
                                 let s = &c.subflows[sf];
-                                (sf, s.local, s.remote, s.if_index, seg)
+                                (s.local, s.remote, s.if_index, seg)
                             }),
                         Transport::Sp(s) => s
                             .poll_transmit(now)
-                            .map(|seg| (0usize, s.local(), s.remote(), s.if_index, seg)),
+                            .map(|seg| (s.local(), s.remote(), s.if_index, seg)),
                     };
-                    let Some((sf, local, remote, if_index, seg)) = out else {
+                    let Some((local, remote, if_index, seg)) = out else {
                         break;
                     };
                     emitted = true;
-                    let conn_id = slot.conn_id;
-                    self.emit_segment(ctx, conn_id, sf, local, remote, if_index, &seg);
+                    self.emit_segment(ctx, local, remote, if_index, &seg);
                 }
                 // New subflows may have appeared while polling; refresh the
                 // demux once per cycle (their responses only arrive on later
@@ -782,22 +769,6 @@ impl Host {
         let now = ctx.now();
         let local = Endpoint::new(ip.dst, seg.dst_port);
         let remote = Endpoint::new(ip.src, seg.src_port);
-        if ctx.trace_level() == TraceLevel::Full {
-            // Record receive with the owning conn, if known.
-            let conn_id = self
-                .demux
-                .get(&(local, remote))
-                .map(|&(s, _)| self.slots[s].conn_id)
-                .unwrap_or(u32::MAX);
-            let sf = self.demux.get(&(local, remote)).map(|&(_, f)| f).unwrap_or(0);
-            ctx.trace(TraceEvent::SegRecvd(record(
-                conn_id,
-                sf,
-                &seg,
-                !self.is_client_role,
-            )));
-        }
-
         if let Some(&(slot, sf)) = self.demux.get(&(local, remote)) {
             match &mut self.slots[slot].transport {
                 Transport::Mp(c) => c.on_segment(sf, &seg, now),
@@ -929,7 +900,7 @@ impl Host {
                 .iter()
                 .position(|a| *a == local.addr)
                 .unwrap_or(0) as u8;
-            self.emit_segment(ctx, u32::MAX, 0, local, remote, if_index, &rst);
+            self.emit_segment(ctx, local, remote, if_index, &rst);
         }
     }
 
@@ -937,6 +908,7 @@ impl Host {
     /// point at a live slot, and the two warm-up ping maps (token →
     /// interface, token → send time) must track the same token set — they
     /// are always inserted and removed together.
+    #[cfg(any(debug_assertions, feature = "check-invariants"))]
     fn validate(&self) -> Result<(), String> {
         for (&(local, remote), &(slot, _)) in &self.demux {
             if slot >= self.slots.len() {
@@ -1018,27 +990,6 @@ impl Host {
             // lint: allow-panic(invariant oracle: aborting on a violated host invariant is the check)
             panic!("host invariant violated after {site}: {e}");
         }
-    }
-}
-
-fn record(conn_id: u32, subflow: usize, seg: &TcpSegment, sent_by_client: bool) -> SegmentRecord {
-    // Trace flags use the wire layout (one canonical constant set); the shim
-    // is a plain mask.
-    let flags = mpw_sim::trace::flags::from_wire(seg.flags);
-    SegmentRecord {
-        conn: conn_id,
-        subflow: subflow as u8,
-        dir: if sent_by_client {
-            Dir::ClientToServer
-        } else {
-            Dir::ServerToClient
-        },
-        seq: seg.seq.0,
-        ack: seg.ack.0,
-        len: seg.payload.len() as u32,
-        flags,
-        dseq: seg.dss().and_then(|(_, m, _)| m.map(|mm| mm.dseq)),
-        is_rexmit: false,
     }
 }
 

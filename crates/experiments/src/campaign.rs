@@ -2,9 +2,8 @@
 //! across day periods, with independent seeds standing in for temporal and
 //! spatial replication.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use mpw_link::DayPeriod;
+use mpw_metrics::par_map;
 use mpw_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -90,55 +89,11 @@ pub fn run_campaign(
     let mut order_rng = SimRng::seeded(master_seed ^ 0x5eed);
     order_rng.shuffle(&mut jobs);
 
-    let n = jobs.len();
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        workers
-    }
-    .clamp(1, n.max(1));
-
-    let mut slots: Vec<Option<Measurement>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    if workers == 1 {
-        for (idx, sc, seed) in &jobs {
-            slots[*idx] = Some(run_measurement(sc, *seed));
-        }
-    } else {
-        // Work-stealing over a shared cursor; each simulated world is
-        // single-threaded and independently seeded, so workers never
-        // contend on anything but the cursor.
-        let next = AtomicUsize::new(0);
-        let jobs = &jobs;
-        let done = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, Measurement)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((idx, sc, seed)) = jobs.get(i) else {
-                                break;
-                            };
-                            local.push((*idx, run_measurement(sc, *seed)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("campaign worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (idx, m) in done {
-            slots[idx] = Some(m);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every job produces a measurement"))
-        .collect()
+    let mut done = par_map(&jobs, workers, |(idx, sc, seed)| {
+        (*idx, run_measurement(sc, *seed))
+    });
+    done.sort_unstable_by_key(|&(idx, _)| idx);
+    done.into_iter().map(|(_, m)| m).collect()
 }
 
 /// Group measurements by a key.

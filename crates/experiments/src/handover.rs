@@ -25,13 +25,11 @@
 //! [`MptcpConnection::notify_signal`]: mpw_mptcp::MptcpConnection::notify_signal
 //! [`MptcpConnection::notify_path_down`]: mpw_mptcp::MptcpConnection::notify_path_down
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use mpw_http::Wget;
 use mpw_link::Carrier;
 use mpw_metrics::{
-    bytes_in_transition, epoch_shares, stall_report, EpochShare, EpochSpan, HandoverReport,
-    PathEvent, PathEventKind, StallReport,
+    bytes_in_transition, epoch_shares, par_map, stall_report, EpochShare, EpochSpan,
+    HandoverReport, PathEvent, PathEventKind, StallReport,
 };
 use mpw_mptcp::{HandoverPolicy, Host, LifecycleEvent, Transport, TransportSpec};
 use mpw_scenario::{
@@ -438,43 +436,5 @@ pub fn run_handover_campaign(
     specs: &[HandoverSpec],
     workers: usize,
 ) -> Vec<HandoverMeasurement> {
-    let n = specs.len();
-    let workers = if workers == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        workers
-    }
-    .clamp(1, n.max(1));
-    if workers == 1 {
-        return specs.iter().map(run_handover).collect();
-    }
-    let mut slots: Vec<Option<HandoverMeasurement>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let next = AtomicUsize::new(0);
-    let done = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(spec) = specs.get(i) else { break };
-                        local.push((i, run_handover(spec)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("handover worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (i, m) in done {
-        slots[i] = Some(m);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every spec produces a measurement"))
-        .collect()
+    par_map(specs, workers, run_handover)
 }

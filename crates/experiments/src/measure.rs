@@ -3,7 +3,7 @@
 //! Campaign runs keep memory flat: per-sample RTT/OFO vectors are disabled
 //! and the constant-memory streaming summaries ([`DistSummary`]) carry the
 //! distributions instead. Traced runs ([`run_measurement_traced`]) keep the
-//! exact vectors on for trace cross-check tests.
+//! exact vectors on for tests that check individual samples.
 
 use mpw_http::Wget;
 use mpw_link::{LinkConfig, PathSpec, Technology};
@@ -123,7 +123,7 @@ fn horizon_for(scenario: &Scenario, wifi: &PathSpec, cellular: &PathSpec) -> Sim
 /// Campaign mode: exact per-sample recording is off, distributions come
 /// from the streaming summaries, memory stays flat in download size.
 pub fn run_measurement(scenario: &Scenario, seed: u64) -> Measurement {
-    run_measurement_inner(scenario, seed, TraceLevel::Drops, false, None).0
+    run_measurement_inner(scenario, seed, false, None).0
 }
 
 /// As [`run_measurement`], but with wire capture taps attached at the
@@ -133,8 +133,7 @@ pub fn run_measurement(scenario: &Scenario, seed: u64) -> Measurement {
 /// without drawing randomness or scheduling events.
 pub fn run_measurement_captured(scenario: &Scenario, seed: u64) -> (Measurement, Vec<u8>) {
     let hub = mpw_capture::CaptureHub::shared();
-    let (m, _tb) =
-        run_measurement_inner(scenario, seed, TraceLevel::Drops, false, Some(hub.clone()));
+    let (m, _tb) = run_measurement_inner(scenario, seed, false, Some(hub.clone()));
     let pcap = hub.borrow().to_pcapng();
     (m, pcap)
 }
@@ -279,21 +278,15 @@ pub fn run_lossfree_download_windowed(
     }
 }
 
-/// As [`run_measurement`], but with control over trace capture; returns the
-/// testbed for callers that want the raw trace (cross-check tests). Exact
-/// per-sample recording stays on so traces can be checked sample-for-sample.
-pub fn run_measurement_traced(
-    scenario: &Scenario,
-    seed: u64,
-    trace: TraceLevel,
-) -> (Measurement, Testbed) {
-    run_measurement_inner(scenario, seed, trace, true, None)
+/// As [`run_measurement`], but with exact per-sample recording on; returns
+/// the testbed for callers that inspect the agents after the run.
+pub fn run_measurement_traced(scenario: &Scenario, seed: u64) -> (Measurement, Testbed) {
+    run_measurement_inner(scenario, seed, true, None)
 }
 
 fn run_measurement_inner(
     scenario: &Scenario,
     seed: u64,
-    trace: TraceLevel,
     exact: bool,
     capture: Option<mpw_capture::SharedHub>,
 ) -> (Measurement, Testbed) {
@@ -301,7 +294,6 @@ fn run_measurement_inner(
     let cellular = scenario.carrier.preset();
     let horizon = horizon_for(scenario, &wifi, &cellular);
     let mut spec = TestbedSpec::two_path(seed, wifi, cellular);
-    spec.trace = trace;
     spec.capture = capture;
     spec.dual_homed_server = scenario.flow.needs_dual_homed_server();
     let mut transport = scenario.flow.transport();

@@ -7,9 +7,7 @@
 //! fold. Worker count and shard grouping are therefore pure implementation
 //! detail — any configuration produces byte-identical JSON.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use mpw_metrics::FleetReport;
+use mpw_metrics::{par_map, FleetReport};
 
 use crate::engine::run_fleet;
 use crate::spec::FleetSpec;
@@ -66,46 +64,8 @@ fn run_one(campaign: &FleetCampaign, r: usize) -> FleetReport {
 }
 
 fn run_replications(campaign: &FleetCampaign, n: usize) -> Vec<FleetReport> {
-    let workers = if campaign.workers == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        campaign.workers
-    }
-    .clamp(1, n.max(1));
-    if workers == 1 {
-        return (0..n).map(|r| run_one(campaign, r)).collect();
-    }
-    let mut slots: Vec<Option<FleetReport>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    let next = AtomicUsize::new(0);
-    let done = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let r = next.fetch_add(1, Ordering::Relaxed);
-                        if r >= n {
-                            break;
-                        }
-                        local.push((r, run_one(campaign, r)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fleet worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (r, report) in done {
-        slots[r] = Some(report);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every replication produces a report"))
-        .collect()
+    let reps: Vec<usize> = (0..n).collect();
+    par_map(&reps, campaign.workers, |&r| run_one(campaign, r))
 }
 
 #[cfg(test)]

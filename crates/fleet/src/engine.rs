@@ -31,12 +31,14 @@ fn classify_dst(frame: &Frame) -> Option<u64> {
     peek_ip_dst(&frame.bytes).map(|a| u64::from(a.0))
 }
 
-/// WiFi-side address of client `i` (10.0.x.y).
+/// WiFi-side address of client `i` (10.0.x.y); unique below
+/// [`crate::MAX_CLIENTS`].
 fn wifi_addr(i: u32) -> Addr {
     Addr::new(10, 0, (i >> 8) as u8, (i & 0xff) as u8)
 }
 
-/// Cellular-side address of client `i` (10.1.x.y).
+/// Cellular-side address of client `i` (10.1.x.y); unique below
+/// [`crate::MAX_CLIENTS`].
 fn cell_addr(i: u32) -> Addr {
     Addr::new(10, 1, (i >> 8) as u8, (i & 0xff) as u8)
 }
@@ -180,6 +182,8 @@ fn flow_finished(host: &Host, slot: usize, workload: &FleetWorkload) -> Option<S
 
 /// Build the world described by `spec`, run it to the horizon (or until
 /// every open-loop flow completes), and harvest the aggregate report.
+/// Panics with the error's message if the spec fails
+/// [`FleetSpec::validate`].
 pub fn run_fleet(spec: &FleetSpec) -> FleetRun {
     run_fleet_windowed(spec, None, &mut |_| {})
 }
@@ -193,6 +197,9 @@ pub fn run_fleet_windowed(
     window: Option<(SimTime, SimTime)>,
     mark: &mut dyn FnMut(u8),
 ) -> FleetRun {
+    if let Err(e) = spec.validate() {
+        panic!("{e}");
+    }
     let mut world = World::new(spec.seed, TraceLevel::Off);
 
     // --- server -----------------------------------------------------------

@@ -35,4 +35,6 @@ pub mod spec;
 
 pub use campaign::{replication_seed, run_campaign, FleetCampaign};
 pub use engine::{run_fleet, run_fleet_windowed, FleetRun};
-pub use spec::{Arrival, ClientClass, FleetSpec, FleetWifi, FleetWorkload, PathMix};
+pub use spec::{
+    Arrival, ClientClass, FleetSpec, FleetSpecError, FleetWifi, FleetWorkload, PathMix, MAX_CLIENTS,
+};

@@ -1,6 +1,8 @@
 //! The declarative fleet description: who the clients are, when they
 //! arrive, and what they do.
 
+use std::fmt;
+
 use mpw_http::StreamingProfile;
 use mpw_link::{Carrier, DayPeriod};
 use mpw_scenario::Scenario;
@@ -164,7 +166,45 @@ pub struct FleetSpec {
     pub mobility: Option<Scenario>,
 }
 
+/// Largest population the address plan holds: client `i` is 10.0.x.y on
+/// WiFi and 10.1.x.y on cellular, with `x.y` the 16-bit index `i`.
+pub const MAX_CLIENTS: u32 = 1 << 16;
+
+/// Why a [`FleetSpec`] cannot be built into a world.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FleetSpecError {
+    /// More clients than [`MAX_CLIENTS`]: client 65,536 would get client
+    /// 0's addresses and silently take over its route.
+    TooManyClients {
+        /// The requested population.
+        n_clients: u32,
+    },
+}
+
+impl fmt::Display for FleetSpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FleetSpecError::TooManyClients { n_clients } => write!(
+                f,
+                "fleet spec has {n_clients} clients; the address plan holds at most {MAX_CLIENTS}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for FleetSpecError {}
+
 impl FleetSpec {
+    /// Check that the spec can be built into a world.
+    pub fn validate(&self) -> Result<(), FleetSpecError> {
+        if self.n_clients > MAX_CLIENTS {
+            return Err(FleetSpecError::TooManyClients {
+                n_clients: self.n_clients,
+            });
+        }
+        Ok(())
+    }
+
     /// A small mixed-population smoke spec: `n` clients, short downloads,
     /// staggered arrivals — the shape the CI fleet smoke runs.
     pub fn smoke(n: u32, seed: u64) -> FleetSpec {
@@ -216,6 +256,20 @@ mod tests {
         };
         let mut rng = SimRng::seeded(1);
         assert_eq!(mix.draw(&mut rng), ClientClass::Multipath);
+    }
+
+    #[test]
+    fn oversized_population_is_rejected_before_any_world_is_built() {
+        assert_eq!(FleetSpec::smoke(MAX_CLIENTS, 1).validate(), Ok(()));
+        let spec = FleetSpec::smoke(MAX_CLIENTS + 1, 1);
+        let err = FleetSpecError::TooManyClients {
+            n_clients: MAX_CLIENTS + 1,
+        };
+        assert_eq!(spec.validate(), Err(err));
+        let Err(panic) = std::panic::catch_unwind(|| crate::run_fleet(&spec)) else {
+            panic!("run_fleet must refuse the spec");
+        };
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 
 use mpw_sim::tap::{SharedObserver, TapDir};
-use mpw_sim::trace::{DropReason, TraceEvent, TraceLevel};
+use mpw_sim::trace::{DropReason, TraceEvent};
 use mpw_sim::{
     serialization_delay, Agent, AgentId, Ctx, Event, Frame, SimDuration, SimRng, SimTime,
     TimerHandle,
@@ -526,13 +526,6 @@ impl Agent for LinkAgent {
                 self.q_bytes += len;
                 self.stats.enqueued += 1;
                 self.stats.peak_queue_bytes = self.stats.peak_queue_bytes.max(self.q_bytes as u64);
-                if ctx.trace_level() == TraceLevel::Full {
-                    ctx.trace(TraceEvent::QueueDepth {
-                        component: ctx.self_id(),
-                        bytes: self.q_bytes as u32,
-                        packets: self.q.len() as u32 + 1,
-                    });
-                }
                 self.q.push_back(frame);
                 self.try_start_service(ctx);
             }

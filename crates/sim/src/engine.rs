@@ -315,14 +315,9 @@ impl<'a> Ctx<'a> {
         Some(self.arm_timer(delay, token))
     }
 
-    /// Record a trace event at the current time.
+    /// Record a drop event at the current time.
     pub fn trace(&mut self, ev: TraceEvent) {
         self.trace.emit(self.now, ev);
-    }
-
-    /// The active trace level, so hot paths can skip building records.
-    pub fn trace_level(&self) -> TraceLevel {
-        self.trace.level()
     }
 }
 
@@ -340,8 +335,6 @@ pub enum RunOutcome {
 /// Event-loop counters, exposed for benches and perf regression tracking.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Events delivered to agents.
-    pub events_delivered: u64,
     /// Tombstoned timer entries discarded at pop (cancelled/rescheduled).
     pub stale_timer_pops: u64,
     /// Heap compactions performed.
@@ -479,7 +472,7 @@ impl World {
         Ok(())
     }
 
-    /// Access the captured trace.
+    /// Access the drop recorder.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
@@ -582,7 +575,6 @@ impl World {
             };
             self.now = q.at;
             self.events_processed += 1;
-            self.stats.events_delivered += 1;
 
             let idx = q.dst as usize;
             // Take the agent out so it can borrow the world context freely.

@@ -7,7 +7,7 @@
 //! - an integer-nanosecond simulated clock ([`SimTime`], [`SimDuration`]),
 //! - a deterministic event queue and agent model ([`World`], [`Agent`]),
 //! - named reproducible RNG streams ([`RngFactory`], [`SimRng`]),
-//! - a tcpdump-like trace vocabulary and recorder ([`trace`]).
+//! - drop accounting ([`trace`]).
 //!
 //! The design follows the smoltcp idiom: protocol components are synchronous,
 //! poll-able state machines; "the network" is an event queue. Determinism is

@@ -67,14 +67,45 @@ impl fmt::Display for Endpoint {
     }
 }
 
-/// TCP flag bits (RFC 793 layout).
-///
-/// This is a re-export of the workspace's canonical flag constants in
-/// [`mpw_sim::trace::flags`]: the trace vocabulary and the wire codec share
-/// one definition, so a `SegmentRecord.flags` byte is bit-identical to the
-/// flags field of the encoded header. An anti-drift test below pins the
-/// RFC 793 values.
-pub use mpw_sim::trace::flags as tcp_flags;
+/// TCP flag bits (RFC 793 layout), the workspace's one definition. An
+/// anti-drift test below pins the values.
+pub mod tcp_flags {
+    /// No more data from sender.
+    pub const FIN: u8 = 0x01;
+    /// Synchronize (connection establishment).
+    pub const SYN: u8 = 0x02;
+    /// Reset the connection.
+    pub const RST: u8 = 0x04;
+    /// Push buffered data to the application.
+    pub const PSH: u8 = 0x08;
+    /// Acknowledgment field is valid.
+    pub const ACK: u8 = 0x10;
+
+    /// Mask of every flag bit the simulator uses.
+    pub const ALL: u8 = FIN | SYN | RST | PSH | ACK;
+
+    /// Render flags in tcpdump's compact notation (e.g. `[S.]`, `[P.]`).
+    pub fn tcpdump_str(fl: u8) -> String {
+        let mut s = String::from("[");
+        if fl & SYN != 0 {
+            s.push('S');
+        }
+        if fl & FIN != 0 {
+            s.push('F');
+        }
+        if fl & RST != 0 {
+            s.push('R');
+        }
+        if fl & PSH != 0 {
+            s.push('P');
+        }
+        if fl & ACK != 0 {
+            s.push('.');
+        }
+        s.push(']');
+        s
+    }
+}
 
 /// Length of our network header.
 pub const IP_HEADER_LEN: usize = 16;
@@ -1104,32 +1135,17 @@ mod tests {
         parsed
     }
 
-    /// Anti-drift guard: `tcp_flags` must stay the canonical RFC 793 bits
-    /// and stay identical to the trace vocabulary in `mpw_sim::trace::flags`.
-    /// If either side is ever redefined independently, this test fails.
+    /// Anti-drift guard: `tcp_flags` must stay the canonical RFC 793 bits.
     #[test]
-    fn tcp_flags_are_canonical_rfc793_bits_shared_with_trace() {
-        use mpw_sim::trace::flags as trace_flags;
+    fn tcp_flags_are_canonical_rfc793_bits() {
         assert_eq!(tcp_flags::FIN, 0x01);
         assert_eq!(tcp_flags::SYN, 0x02);
         assert_eq!(tcp_flags::RST, 0x04);
         assert_eq!(tcp_flags::PSH, 0x08);
         assert_eq!(tcp_flags::ACK, 0x10);
-        assert_eq!(tcp_flags::FIN, trace_flags::FIN);
-        assert_eq!(tcp_flags::SYN, trace_flags::SYN);
-        assert_eq!(tcp_flags::RST, trace_flags::RST);
-        assert_eq!(tcp_flags::PSH, trace_flags::PSH);
-        assert_eq!(tcp_flags::ACK, trace_flags::ACK);
         assert_eq!(
-            trace_flags::ALL,
+            tcp_flags::ALL,
             tcp_flags::FIN | tcp_flags::SYN | tcp_flags::RST | tcp_flags::PSH | tcp_flags::ACK
-        );
-        // The shim is a pure mask: unknown high bits are stripped, known
-        // bits pass through untouched.
-        assert_eq!(trace_flags::from_wire(0xFF), trace_flags::ALL);
-        assert_eq!(
-            trace_flags::from_wire(tcp_flags::SYN | tcp_flags::ACK),
-            tcp_flags::SYN | tcp_flags::ACK
         );
     }
 

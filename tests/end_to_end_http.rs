@@ -142,11 +142,7 @@ fn mptcp_download_time_close_to_best_single_path() {
 #[test]
 fn warmup_pings_measure_cellular_rtt() {
     let sc = scenario(FlowConfig::SpCellular, Carrier::Att, sizes::S8K);
-    let (_, mut tb) = mpwild::experiments::run_measurement_traced(
-        &sc,
-        91,
-        mpwild::sim::trace::TraceLevel::Drops,
-    );
+    let (_, mut tb) = mpwild::experiments::run_measurement_traced(&sc, 91);
     let client = tb.client;
     let host = tb.world.agent_mut::<Host>(client).expect("client host");
     assert_eq!(host.ping_rtts.len(), 2, "two warm-up pings (§3.2)");
