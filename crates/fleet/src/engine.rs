@@ -7,6 +7,16 @@
 //! fanning frames back out by destination IP ([`mpw_tcp::peek_ip_dst`]).
 //! Queueing delay, bufferbloat, and loss are therefore emergent properties
 //! of the population, exactly the effect the contention artifacts sweep.
+//!
+//! The drive loop samples goodput once per tick over the *live* clients
+//! only, kept in ascending client order. A client joins when its first
+//! arrival is due; an open-loop client leaves once all its flows have
+//! finished and its transports are closed, when its byte count can no
+//! longer move and is folded into a running total (closed-loop clients
+//! stay until `done`). The sums, the stop test and the order of
+//! closed-loop reopens are those of a scan over every client, so the
+//! report and the event sequence are identical to one, at a cost that
+//! follows the clients in flight rather than N.
 
 use mpw_http::{HttpServer, StreamingClient, Wget};
 use mpw_link::{build_shared_access, wifi_home, wifi_hotspot, BuiltPath, PathSpec};
@@ -304,6 +314,9 @@ pub fn run_fleet_windowed(
     // --- first arrivals ---------------------------------------------------
     let arrivals = arrival_schedule(spec, &world);
     let horizon = SimTime::from_millis(spec.horizon_ms);
+    // Clients in first-arrival order; one arriving at or past the horizon
+    // opens no flow and never enters the drive loop.
+    let mut admissions = Vec::with_capacity(clients.len());
     for (i, &at) in arrivals.iter().enumerate() {
         if at >= horizon {
             continue;
@@ -312,7 +325,10 @@ pub fn run_fleet_windowed(
         queue_flow(&mut world, c.agent, c.class, spec, at);
         c.opens = 1;
         c.open_pending = true;
+        admissions.push((at, i));
     }
+    admissions.sort_unstable();
+    let mut admissions = admissions.into_iter().peekable();
 
     // --- mobility ---------------------------------------------------------
     let mut driver = spec
@@ -335,6 +351,10 @@ pub fn run_fleet_windowed(
     let mut report = FleetReport::new(spec.goodput_bucket_ms);
     report.clients = u64::from(spec.n_clients);
     let mut delivered_cum: u64 = 0;
+    // Clients whose first arrival is due and whose byte count can still
+    // move, and the final delivered bytes of those that have left.
+    let mut live: Vec<usize> = Vec::with_capacity(clients.len());
+    let mut settled: u64 = 0;
     let mut marked = [false; 2];
     loop {
         let now = world.now();
@@ -363,37 +383,39 @@ pub fn run_fleet_windowed(
                 .expect("fleet scenario paths are bound");
         }
 
-        // Aggregate goodput sample: fleet-wide delivered-byte delta.
-        let mut total: u64 = 0;
-        let mut all_done = true;
-        for c in &clients {
-            let host = world.agent::<Host>(c.agent).expect("client host");
-            for slot in 0..host.slot_count() {
-                if let Some(t) = host.transport(slot) {
-                    total += t.delivered_offset();
-                }
-            }
-            if host.slot_count() < c.opens as usize
-                || (0..host.slot_count())
-                    .any(|s| flow_finished(host, s, &spec.workload).is_none())
-            {
-                all_done = false;
-            }
-        }
-        if total > delivered_cum {
-            report.absorb_goodput(now.as_nanos() / 1_000_000, total - delivered_cum);
-            delivered_cum = total;
+        // Admit every client whose first arrival is due; `live` stays in
+        // ascending client order.
+        while let Some((_, i)) = admissions.next_if(|&(at, _)| at <= now) {
+            let pos = live.partition_point(|&j| j < i);
+            live.insert(pos, i);
         }
 
-        // Closed loop: one think time after a client's latest flow
-        // finishes, open the next one.
-        if closed {
-            for c in &mut clients {
-                if c.done {
-                    continue;
-                }
-                let host = world.agent::<Host>(c.agent).expect("client host");
-                let opened_all = host.slot_count() >= c.opens as usize;
+        // One pass over the live clients: the fleet-wide delivered total
+        // for the goodput sample, whether every open-loop flow finished,
+        // and the closed-loop reopens. A client whose byte count can no
+        // longer move settles into `settled` and leaves the list.
+        let mut total = settled;
+        let mut all_done = admissions.peek().is_none();
+        live.retain(|&i| {
+            let c = &mut clients[i];
+            let host = world.agent::<Host>(c.agent).expect("client host");
+            let slots = host.slot_count();
+            let (mut delivered, mut closed_down) = (0, true);
+            for t in (0..slots).filter_map(|s| host.transport(s)) {
+                delivered += t.delivered_offset();
+                closed_down &= t.is_finished();
+            }
+            total += delivered;
+            let opened_all = slots >= c.opens as usize;
+            let flows_done =
+                opened_all && (0..slots).all(|s| flow_finished(host, s, &spec.workload).is_some());
+            if !flows_done {
+                all_done = false;
+            }
+
+            // Closed loop: one think time after a client's latest flow
+            // finishes, open the next one.
+            if closed && !c.done {
                 let latest_done = c.opens > 0
                     && opened_all
                     && flow_finished(host, c.opens as usize - 1, &spec.workload).is_some();
@@ -405,9 +427,8 @@ pub fn run_fleet_windowed(
                     // start at the sampling tick where the completion is
                     // observed (≤ one bucket after the true finish time).
                     let think = c.think.as_mut().expect("closed loop has think RNG");
-                    let gap = SimDuration::from_nanos(
-                        (think.exponential(think_mean_ms) * 1e6) as u64,
-                    );
+                    let gap =
+                        SimDuration::from_nanos((think.exponential(think_mean_ms) * 1e6) as u64);
                     let at = now + gap;
                     if at < horizon {
                         queue_flow(&mut world, c.agent, c.class, spec, at);
@@ -418,8 +439,18 @@ pub fn run_fleet_windowed(
                         c.done = true;
                     }
                 }
-                all_done = false;
+                return true;
             }
+
+            let settles = flows_done && closed_down;
+            if settles {
+                settled += delivered;
+            }
+            !settles
+        });
+        if total > delivered_cum {
+            report.absorb_goodput(now.as_nanos() / 1_000_000, total - delivered_cum);
+            delivered_cum = total;
         }
 
         if now >= horizon || (!closed && all_done) {
@@ -503,23 +534,42 @@ mod tests {
     use super::*;
     use crate::spec::PathMix;
 
+    /// Every delivered byte lands in exactly one goodput bucket: the drive
+    /// loop's running total (live clients plus settled ones) ends equal to
+    /// the harvested bytes, so no client left the live list while its byte
+    /// count could still move.
+    fn assert_goodput_conserved(run: &FleetRun) {
+        let sampled: u64 = run.report.goodput.buckets.values().sum();
+        assert_eq!(
+            sampled, run.report.bytes,
+            "goodput samples vs harvested bytes"
+        );
+    }
+
     #[test]
     fn tiny_fleet_completes_downloads() {
-        let mut spec = FleetSpec::smoke(6, 11);
-        spec.workload = FleetWorkload::Download { size: 16 << 10 };
-        spec.horizon_ms = 30_000;
-        let run = run_fleet(&spec);
-        assert_eq!(run.report.clients, 6);
-        assert_eq!(run.report.flows_started, 6);
-        assert_eq!(
-            run.report.flows_completed, 6,
-            "all small downloads should finish well before the horizon: {:?}",
-            run.records
-        );
-        assert!(run.report.bytes >= 6 * (16 << 10));
-        // The fan-out switches saw traffic and dropped nothing on the floor.
-        let wifi_sw_forwarded: u64 = run.report.wifi_bytes;
-        assert!(wifi_sw_forwarded > 0);
+        for arrival in [
+            Arrival::Staggered { gap_ms: 20 },
+            Arrival::Poisson { mean_gap_ms: 20 },
+        ] {
+            let mut spec = FleetSpec::smoke(6, 11);
+            spec.workload = FleetWorkload::Download { size: 16 << 10 };
+            spec.arrival = arrival;
+            spec.horizon_ms = 30_000;
+            let run = run_fleet(&spec);
+            assert_eq!(run.report.clients, 6);
+            assert_eq!(run.report.flows_started, 6);
+            assert_eq!(
+                run.report.flows_completed, 6,
+                "all small downloads should finish well before the horizon: {:?}",
+                run.records
+            );
+            assert!(run.report.bytes >= 6 * (16 << 10));
+            // The fan-out switches saw traffic and dropped nothing on the floor.
+            let wifi_sw_forwarded: u64 = run.report.wifi_bytes;
+            assert!(wifi_sw_forwarded > 0);
+            assert_goodput_conserved(&run);
+        }
     }
 
     #[test]
@@ -561,5 +611,6 @@ mod tests {
             "closed loop should open repeat flows, got {}",
             run.report.flows_started
         );
+        assert_goodput_conserved(&run);
     }
 }

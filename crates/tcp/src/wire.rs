@@ -553,22 +553,37 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// 16-bit ones'-complement checksum (RFC 1071).
+/// 16-bit ones'-complement checksum (RFC 1071), eight bytes at a time.
+///
+/// RFC 1071 §2 lets the sum be regrouped as long as each byte keeps its
+/// even/odd position (A), taken in either byte order with one byte swap of
+/// the result (B), taken over wider words and folded to 16 bits at the end
+/// (C), with the carries deferred into a wider accumulator (D). So each
+/// 8-byte chunk is read as one native-order `u64` whose two 32-bit halves
+/// go into a `u64` sum; the 0–7 byte tail is zero-padded to a chunk in
+/// place, which is the odd-byte padding since every chunk starts at an even
+/// offset. A unit test checks it bit for bit against a byte-pair loop.
 fn checksum(data: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        if let [hi, lo] = c {
-            sum += u32::from(u16::from_be_bytes([*hi, *lo]));
-        }
+    fn halves(chunk: [u8; 8]) -> u64 {
+        let w = u64::from_ne_bytes(chunk);
+        (w & 0xffff_ffff) + (w >> 32)
     }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
+    let mut chunks = data.chunks_exact(8);
+    let mut sum: u64 = (&mut chunks)
+        .filter_map(|c| <[u8; 8]>::try_from(c).ok())
+        .map(halves)
+        .sum();
+    let rest = chunks.remainder();
+    let mut tail = [0u8; 8];
+    if let Some(dst) = tail.get_mut(..rest.len()) {
+        dst.copy_from_slice(rest);
     }
+    sum += halves(tail);
     while sum > 0xffff {
         sum = (sum & 0xffff) + (sum >> 16);
     }
-    !(sum as u16)
+    // The native-order sum's bytes, in memory order, are the big-endian sum.
+    !u16::from_be_bytes((sum as u16).to_ne_bytes())
 }
 
 // ---- Checked byte access ------------------------------------------------
@@ -1360,12 +1375,56 @@ mod tests {
         assert_eq!(bytes.len(), IP_HEADER_LEN + TCP_HEADER_LEN + 4);
     }
 
+    /// RFC 1071 summed one big-endian byte pair at a time: the reference
+    /// the 64-bit [`checksum`] must match bit for bit.
+    fn checksum_byte_pairs(data: &[u8]) -> u16 {
+        let mut sum: u32 = 0;
+        let mut chunks = data.chunks_exact(2);
+        for c in &mut chunks {
+            if let [hi, lo] = c {
+                sum += u32::from(u16::from_be_bytes([*hi, *lo]));
+            }
+        }
+        if let [last] = chunks.remainder() {
+            sum += u32::from(u16::from_be_bytes([*last, 0]));
+        }
+        while sum > 0xffff {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
     #[test]
     fn checksum_rfc1071_examples() {
         // Complement of sum; all-zero data checksums to 0xffff.
         assert_eq!(checksum(&[0, 0, 0, 0]), 0xffff);
         // Odd-length data is padded with zero.
         assert_eq!(checksum(&[0xff]), !0xff00);
+        // RFC 1071 §3's worked example: the folded sum is 0xddf2.
+        let rfc = [0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7];
+        assert_eq!(checksum(&rfc), 0x220d);
+        assert_eq!(checksum_byte_pairs(&rfc), 0x220d);
+        // Every tail length and chunk alignment, then frame-sized inputs
+        // around a 1,500-byte MTU, random and all-ones (maximal carries).
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let random: Vec<u8> = (0..1_501)
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng as u8
+            })
+            .collect();
+        let ones = [0xffu8; 1_501];
+        for len in (0..=64).chain(1_499..=1_501) {
+            for data in [&random[..len], &ones[..len]] {
+                assert_eq!(
+                    checksum(data),
+                    checksum_byte_pairs(data),
+                    "len {len}: {data:02x?}"
+                );
+            }
+        }
     }
 
     /// The old `Vec<TcpOption>`-era encoder, kept verbatim as the reference
