@@ -298,7 +298,8 @@ struct TimerChurn {
     remaining: u32,
 }
 
-/// Timers armed + cancelled + rescheduled + fired per `TimerChurn` round.
+/// Timers armed + cancelled + moved (cancel + arm) + fired per
+/// `TimerChurn` round.
 const TIMER_OPS_PER_ROUND: u64 = 8 + 7 + 1 + 1;
 
 impl Agent for TimerChurn {
@@ -320,7 +321,8 @@ impl Agent for TimerChurn {
                     }
                 }
                 if let Some(h) = keep {
-                    ctx.reschedule_timer(h, SimDuration::from_micros(50));
+                    ctx.cancel_timer(h);
+                    ctx.arm_timer(SimDuration::from_micros(50), 0);
                 }
             }
         }
@@ -401,59 +403,6 @@ impl Agent for FrameChurn {
     }
 }
 
-/// The same hot path under the engine's previous timer idiom: raw
-/// `set_timer` plus a generation counter, so every re-arm strands a stale
-/// heap entry that must still be popped and dispatched at its deadline.
-/// Kept as the in-tree baseline for `event_churn_100k`.
-struct FrameChurnRawTimers {
-    peer: u32,
-    remaining: u32,
-    generation: u64,
-}
-
-impl Agent for FrameChurnRawTimers {
-    fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
-        match ev {
-            Event::Start => {}
-            Event::Timer { token: 0 } => {
-                ctx.send_frame(
-                    self.peer,
-                    0,
-                    SimDuration::from_micros(10),
-                    Frame::new(Bytes::new()),
-                );
-            }
-            // Stale generations are recognized and dropped — after paying
-            // for the heap traversal and the dispatch.
-            Event::Timer { token } => {
-                if token == self.generation {
-                    self.generation += 1;
-                }
-            }
-            Event::Frame { .. } => {
-                if self.remaining == 0 {
-                    return;
-                }
-                self.remaining -= 1;
-                self.generation += 1;
-                ctx.set_timer(SimDuration::from_millis(300), self.generation);
-                ctx.send_frame(
-                    self.peer,
-                    0,
-                    SimDuration::from_micros(10),
-                    Frame::new(Bytes::new()),
-                );
-            }
-        }
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 fn bench_event_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     const EVENTS: u64 = 100_000;
@@ -470,24 +419,6 @@ fn bench_event_churn(c: &mut Criterion) {
                 peer: a,
                 remaining: EVENTS as u32 / 2,
                 timeout: None,
-            }));
-            w.schedule(SimTime::ZERO, bb, Event::Timer { token: 0 });
-            w.run_until_idle();
-            assert!(w.events_processed() >= EVENTS);
-        })
-    });
-    g.bench_function("event_churn_100k_raw_timers", |b| {
-        b.iter(|| {
-            let mut w = World::new(1, TraceLevel::Off);
-            let a = w.add_agent(Box::new(FrameChurnRawTimers {
-                peer: 1,
-                remaining: EVENTS as u32 / 2,
-                generation: 0,
-            }));
-            let bb = w.add_agent(Box::new(FrameChurnRawTimers {
-                peer: a,
-                remaining: EVENTS as u32 / 2,
-                generation: 0,
             }));
             w.schedule(SimTime::ZERO, bb, Event::Timer { token: 0 });
             w.run_until_idle();

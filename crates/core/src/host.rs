@@ -203,9 +203,21 @@ struct Slot {
     /// immutable and the subflow vector only grows (replacements append),
     /// so registration is append-only: each call covers only the tail.
     registered_subflows: usize,
-    /// The deadline currently recorded for this slot in the host's
-    /// deadline index (min of transport timeout and app wakeup).
-    deadline: Option<SimTime>,
+    /// This slot's engine timer and the instant it fires: armed exactly
+    /// when the slot has a deadline, at that deadline clamped to the
+    /// arming instant. Its token is the slot index.
+    timer: Option<(TimerHandle, SimTime)>,
+}
+
+impl Slot {
+    /// The earliest instant this slot needs service without a network
+    /// event: the transport's timeout or the app's wakeup.
+    fn deadline(&self) -> Option<SimTime> {
+        match (self.transport.next_timeout(), self.app.next_wakeup()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
 }
 
 /// A queued outgoing connection request (activated by a scheduled timer).
@@ -228,15 +240,18 @@ pub struct OpenRequest {
 enum PendingOpen {
     /// Waiting for its activation time.
     Queued(OpenRequest),
-    /// Pings sent; waiting for replies or deadline.
+    /// Pings sent; waiting for replies or deadline. `timer` fires
+    /// [`TOKEN_OPEN`] at `deadline` and is cancelled if the replies win.
     Warming {
         req: OpenRequest,
         tokens_left: u8,
         deadline: SimTime,
+        timer: TimerHandle,
     },
 }
 
-const TOKEN_HOST_TIMER: u64 = 0x1000_0000_0000_0001;
+/// Token of the open-activation event. Slot timers use the slot index as
+/// their token, which never reaches this value.
 const TOKEN_OPEN: u64 = 0x1000_0000_0000_0002;
 
 /// Host agent. See module docs.
@@ -261,29 +276,18 @@ pub struct Host {
     /// JOIN SYNs that arrived before their MP_CAPABLE (simultaneous mode).
     pending_joins: Vec<(u32, Endpoint, Endpoint, TcpSegment, SimTime)>,
     pending_opens: Vec<PendingOpen>,
-    /// Ping replies expected: token → (if_index asked).
-    pings_inflight: BTreeMap<u64, u8>,
+    /// Ping replies expected: token → send time.
+    pings_inflight: BTreeMap<u64, SimTime>,
     /// Completed ping RTTs.
     pub ping_rtts: Vec<SimDuration>,
-    ping_sent_at: BTreeMap<u64, SimTime>,
     next_conn_id: u32,
     conn_id_base: u32,
     rng: SimRng,
-    /// The single cancellable wakeup timer covering every transport
-    /// deadline (RTO, delayed ACK, app wakeups, pending opens). Holds the
-    /// live handle and the instant it fires; rescheduled in place when the
-    /// earliest deadline moves, so no stale timer events ever fire.
-    armed: Option<(TimerHandle, SimTime)>,
     /// Slots touched since the last flush (incoming segment, fired timer,
     /// external mutation, fresh open). `flush` pumps exactly these, in
     /// ascending slot order, so per-event work scales with the slots an
     /// event actually concerns — not with the host's total population.
     dirty: BTreeSet<usize>,
-    /// (deadline, slot) index over every slot with a pending transport
-    /// timeout or app wakeup. `rearm_timer` reads only the first entry and
-    /// the host timer pops due entries, replacing the former O(slots) scan
-    /// per event.
-    deadlines: BTreeMap<(SimTime, usize), ()>,
     /// Count of frames that found no matching socket.
     pub no_socket_drops: u64,
 }
@@ -310,13 +314,10 @@ impl Host {
             pending_opens: Vec::new(),
             pings_inflight: BTreeMap::new(),
             ping_rtts: Vec::new(),
-            ping_sent_at: BTreeMap::new(),
             next_conn_id: conn_id_base,
             conn_id_base,
             rng,
-            armed: None,
             dirty: BTreeSet::new(),
-            deadlines: BTreeMap::new(),
             no_socket_drops: 0,
         }
     }
@@ -348,7 +349,8 @@ impl Host {
 
     /// Queue an outgoing connection. The caller must also schedule
     /// `Event::Timer { token: Host::open_token() }` on this host at
-    /// `req.at` (or any time ≥ it).
+    /// `req.at` (or any time ≥ it): that event is the only thing that
+    /// activates a queued open.
     pub fn queue_open(&mut self, req: OpenRequest) {
         self.pending_opens.push(PendingOpen::Queued(req));
     }
@@ -457,7 +459,7 @@ impl Host {
             // progress. An app may write *in response to* data consumed in
             // this very flush (e.g. the streaming client requesting the
             // next block the moment the previous one completes); that write
-            // must be pumped now — the host wakeup timer only covers
+            // must be pumped now — the slot timer only covers
             // transport deadlines and app wakeups, not buffered-but-unsent
             // data, so leaving it unpumped can deadlock an otherwise idle
             // connection.
@@ -498,9 +500,8 @@ impl Host {
                     break;
                 }
             }
-            self.update_deadline(i);
+            self.update_deadline(ctx, i);
         }
-        self.rearm_timer(ctx);
     }
 
     /// Register any demux entries this slot does not have yet. Subflow
@@ -529,97 +530,35 @@ impl Host {
         self.slots[slot].registered_subflows = upto;
     }
 
-    /// Refresh the deadline index entry for one slot after pumping it.
-    fn update_deadline(&mut self, i: usize) {
-        let s = &self.slots[i];
-        let next = match (s.transport.next_timeout(), s.app.next_wakeup()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if next == s.deadline {
+    /// Re-arm slot `i`'s timer after pumping it: when its deadline
+    /// (clamped to now) moved, cancel the old timer and arm one at the new
+    /// deadline; with no deadline left, just cancel.
+    fn update_deadline(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        let now = ctx.now();
+        let s = &mut self.slots[i];
+        let due = s.deadline().map(|t| t.max(now));
+        if due == s.timer.map(|(_, at)| at) {
             return;
         }
-        if let Some(old) = s.deadline {
-            self.deadlines.remove(&(old, i));
+        if let Some((h, _)) = s.timer.take() {
+            ctx.cancel_timer(h);
         }
-        if let Some(new) = next {
-            self.deadlines.insert((new, i), ());
-        }
-        self.slots[i].deadline = next;
+        s.timer = due.map(|at| (ctx.arm_timer(at.saturating_since(now), i as u64), at));
     }
 
-    fn rearm_timer(&mut self, ctx: &mut Ctx<'_>) {
-        // The deadline index keeps every slot's earliest deadline sorted;
-        // only the queued opens (a handful at a time) still need a fold.
-        let mut next: Option<SimTime> =
-            self.deadlines.keys().next().map(|&(t, _)| t);
-        let mut fold = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                next = Some(next.map_or(t, |c: SimTime| c.min(t)));
-            }
-        };
-        for p in &self.pending_opens {
-            match p {
-                PendingOpen::Queued(r) => fold(Some(r.at)),
-                PendingOpen::Warming { deadline, .. } => fold(Some(*deadline)),
-            }
-        }
-        let Some(next) = next else {
-            // Nothing due any more: cancel the wakeup outright.
-            if let Some((h, _)) = self.armed.take() {
-                ctx.cancel_timer(h);
-            }
-            return;
-        };
+    /// Slot `i`'s timer fired: run the transport's timers if one is due,
+    /// then pump the slot (its app may have woken up instead).
+    fn on_slot_timer(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let now = ctx.now();
-        let due = next.max(now);
-        match self.armed {
-            Some((_, at)) if at == due => {}
-            Some((h, _)) => {
-                // The earliest deadline moved (either direction): slide the
-                // existing timer instead of layering a second one.
-                let delay = due.saturating_since(now);
-                let h = ctx
-                    .reschedule_timer(h, delay)
-                    .unwrap_or_else(|| ctx.arm_timer(delay, TOKEN_HOST_TIMER));
-                self.armed = Some((h, due));
-            }
-            None => {
-                let delay = due.saturating_since(now);
-                self.armed = Some((ctx.arm_timer(delay, TOKEN_HOST_TIMER), due));
-            }
-        }
-    }
-
-    fn on_host_timer(&mut self, ctx: &mut Ctx<'_>) {
-        self.on_host_timer_inner(ctx);
-        self.debug_check("on_host_timer");
-    }
-
-    fn on_host_timer_inner(&mut self, ctx: &mut Ctx<'_>) {
-        let now = ctx.now();
-        // The handle is consumed by firing; rearm_timer will arm a fresh one.
-        self.armed = None;
-        // Pop exactly the due slots off the deadline index instead of
-        // scanning every slot. Each popped slot is marked dirty so the
-        // flush below pumps it and re-derives its next deadline.
-        while let Some(&(t, i)) = self.deadlines.keys().next() {
-            if t > now {
-                break;
-            }
-            self.deadlines.remove(&(t, i));
-            self.slots[i].deadline = None;
-            if self.slots[i]
-                .transport
-                .next_timeout()
-                .is_some_and(|d| d <= now)
-            {
-                self.slots[i].transport.on_timer(now);
+        if let Some(s) = self.slots.get_mut(i) {
+            s.timer = None;
+            if s.transport.next_timeout().is_some_and(|d| d <= now) {
+                s.transport.on_timer(now);
             }
             self.dirty.insert(i);
         }
-        self.process_opens(ctx);
         self.flush(ctx);
+        self.debug_check("on_slot_timer");
     }
 
     fn process_opens(&mut self, ctx: &mut Ctx<'_>) {
@@ -643,16 +582,17 @@ impl Host {
                             if let Some(egress) = self.egress_for(req.warmup_if, req.remote.addr)
                             {
                                 ctx.send_frame(egress, 0, SimDuration::ZERO, Frame::new(bytes));
-                                self.pings_inflight.insert(token, req.warmup_if);
-                                self.ping_sent_at.insert(token, now);
+                                self.pings_inflight.insert(token, now);
                                 tokens_left += 1;
                             }
                         }
                         if tokens_left > 0 {
+                            let wait = SimDuration::from_secs(2);
                             keep.push(PendingOpen::Warming {
                                 req,
                                 tokens_left,
-                                deadline: now + SimDuration::from_secs(2),
+                                deadline: now + wait,
+                                timer: ctx.arm_timer(wait, TOKEN_OPEN),
                             });
                             continue;
                         }
@@ -663,14 +603,17 @@ impl Host {
                     req,
                     tokens_left,
                     deadline,
+                    timer,
                 } => {
                     if tokens_left == 0 || now >= deadline {
+                        ctx.cancel_timer(timer);
                         self.open_now(req, now);
                     } else {
                         keep.push(PendingOpen::Warming {
                             req,
                             tokens_left,
                             deadline,
+                            timer,
                         });
                     }
                 }
@@ -719,7 +662,7 @@ impl Host {
             app: req.app,
             conn_id,
             registered_subflows: 0,
-            deadline: None,
+            timer: None,
         });
         self.dirty.insert(slot);
         self.register_demux(slot);
@@ -747,10 +690,8 @@ impl Host {
             return;
         }
         // A reply to one of our warm-up pings.
-        if self.pings_inflight.remove(&ping.token).is_some() {
-            if let Some(sent) = self.ping_sent_at.remove(&ping.token) {
-                self.ping_rtts.push(ctx.now().saturating_since(sent));
-            }
+        if let Some(sent) = self.pings_inflight.remove(&ping.token) {
+            self.ping_rtts.push(ctx.now().saturating_since(sent));
             for p in &mut self.pending_opens {
                 if let PendingOpen::Warming { tokens_left, .. } = p {
                     *tokens_left = tokens_left.saturating_sub(1);
@@ -853,7 +794,7 @@ impl Host {
                 app,
                 conn_id,
                 registered_subflows: 0,
-                deadline: None,
+                timer: None,
             });
             self.dirty.insert(slot);
             self.register_demux(slot);
@@ -905,9 +846,8 @@ impl Host {
     }
 
     /// Host-level structural invariants: every demux and token entry must
-    /// point at a live slot, and the two warm-up ping maps (token →
-    /// interface, token → send time) must track the same token set — they
-    /// are always inserted and removed together.
+    /// point at a live slot, and every slot not awaiting a flush holds a
+    /// timer exactly when it has a deadline.
     #[cfg(any(debug_assertions, feature = "check-invariants"))]
     fn validate(&self) -> Result<(), String> {
         for (&(local, remote), &(slot, _)) in &self.demux {
@@ -926,39 +866,13 @@ impl Host {
                 ));
             }
         }
-        if self.pings_inflight.len() != self.ping_sent_at.len()
-            || !self.pings_inflight.keys().eq(self.ping_sent_at.keys())
-        {
-            return Err(format!(
-                "ping bookkeeping diverged: {} inflight vs {} send times",
-                self.pings_inflight.len(),
-                self.ping_sent_at.len()
-            ));
-        }
-        // Deadline index ↔ per-slot deadline cache must agree exactly:
-        // every index entry names a live slot that recorded that instant,
-        // and every recorded instant appears in the index.
-        for &(t, slot) in self.deadlines.keys() {
-            if slot >= self.slots.len() {
-                return Err(format!(
-                    "deadline index ({t:?}, {slot}) -> dead slot (have {})",
-                    self.slots.len()
-                ));
-            }
-            if self.slots[slot].deadline != Some(t) {
-                return Err(format!(
-                    "deadline index ({t:?}, {slot}) disagrees with slot cache {:?}",
-                    self.slots[slot].deadline
-                ));
-            }
-        }
         for (i, s) in self.slots.iter().enumerate() {
-            if let Some(t) = s.deadline {
-                if !self.deadlines.contains_key(&(t, i)) {
-                    return Err(format!(
-                        "slot {i} caches deadline {t:?} missing from the index"
-                    ));
-                }
+            if !self.dirty.contains(&i) && s.timer.is_some() != s.deadline().is_some() {
+                return Err(format!(
+                    "clean slot {i} has timer {:?} but deadline {:?}",
+                    s.timer,
+                    s.deadline()
+                ));
             }
             let have = match &s.transport {
                 Transport::Mp(c) => c.subflows.len(),
@@ -996,9 +910,7 @@ impl Host {
 impl Agent for Host {
     fn handle(&mut self, ev: Event, ctx: &mut Ctx<'_>) {
         match ev {
-            Event::Start => {
-                self.rearm_timer(ctx);
-            }
+            Event::Start => {}
             Event::Frame { frame, .. } => {
                 match parse_any_shared(&frame.bytes) {
                     Ok(Packet::Tcp(ip, seg)) => self.handle_tcp(ctx, ip, seg),
@@ -1013,8 +925,8 @@ impl Agent for Host {
                 if token == TOKEN_OPEN {
                     self.process_opens(ctx);
                     self.flush(ctx);
-                } else if token == TOKEN_HOST_TIMER {
-                    self.on_host_timer(ctx);
+                } else if let Ok(i) = usize::try_from(token) {
+                    self.on_slot_timer(ctx, i);
                 }
             }
         }
@@ -1076,5 +988,73 @@ impl std::fmt::Debug for Host {
             self.slots.len(),
             self.conn_id_base
         )
+    }
+}
+
+#[cfg(all(test, any(debug_assertions, feature = "check-invariants")))]
+mod tests {
+    use super::*;
+    use mpw_sim::trace::TraceLevel;
+    use mpw_sim::World;
+
+    /// Client app with a far-off wakeup, so its slot always has a deadline.
+    struct Sleepy;
+
+    impl App for Sleepy {
+        fn poll(&mut self, _conn: &mut Transport, _now: SimTime) {}
+        fn next_wakeup(&self) -> Option<SimTime> {
+            Some(SimTime::from_secs(60))
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn validate_ties_slot_timers_to_deadlines() {
+        let mut w = World::new(1, TraceLevel::Off);
+        let (client_addr, server_addr) = (Addr::new(10, 0, 0, 1), Addr::new(10, 0, 0, 2));
+        let host = |addr, base| Box::new(Host::new(vec![addr], base, true, SimRng::seeded(1)));
+        let c = w.add_agent(host(client_addr, 0));
+        let s = w.add_agent(host(server_addr, 1 << 16));
+        let (tcp, cc) = (TcpConfig::default(), CcConfig::default());
+        let client = w.agent_mut::<Host>(c).unwrap();
+        client.set_iface_link(0, s);
+        client.queue_open(OpenRequest {
+            at: SimTime::ZERO,
+            spec: TransportSpec::Plain { tcp: tcp.clone(), cc, if_index: 0 },
+            remote: Endpoint::new(server_addr, 80),
+            app: Box::new(Sleepy),
+            warmup_pings: 0,
+            warmup_if: 0,
+        });
+        let server = w.agent_mut::<Host>(s).unwrap();
+        server.set_iface_link(0, c);
+        server.listen(80, MptcpConfig::default(), (tcp, cc), Box::new(|_| Box::new(NullApp)));
+        w.schedule(SimTime::ZERO, c, Event::Timer { token: Host::open_token() });
+        w.run_until(SimTime::from_secs(1));
+
+        // The client slot waits on its app's wakeup: removing its timer
+        // breaks the rule.
+        let client = w.agent_mut::<Host>(c).unwrap();
+        assert!(client.transport(0).is_some_and(Transport::is_established));
+        assert!(client.validate().is_ok());
+        let timer = client.slots[0].timer.take();
+        assert!(timer.is_some());
+        assert!(client.validate().is_err());
+        client.slots[0].timer = timer;
+
+        // The idle server slot has no deadline: arming a timer on it breaks
+        // the rule too, unless the slot still awaits a flush.
+        let server = w.agent_mut::<Host>(s).unwrap();
+        assert_eq!(server.slots[0].deadline(), None);
+        assert!(server.validate().is_ok());
+        server.slots[0].timer = timer;
+        assert!(server.validate().is_err());
+        server.dirty.insert(0);
+        assert!(server.validate().is_ok());
     }
 }

@@ -7,23 +7,21 @@
 //!
 //! # Timers
 //!
-//! Two timer paths exist:
+//! Agents have one timer API: [`Ctx::arm_timer`] returns a [`TimerHandle`]
+//! and [`Ctx::cancel_timer`] takes it back. Moving a timer is cancel plus
+//! arm. Cancelling is O(1): the slab entry is invalidated and the
+//! already-queued heap entry becomes a *tombstone* that is discarded with a
+//! single generation check when it surfaces. A live-entry counter triggers
+//! heap compaction when tombstones dominate, so the calendar never grows
+//! unboundedly with superseded timers. (A hierarchical timer wheel was the
+//! alternative design; the tombstone heap benches faster here because
+//! cancellations are O(1) without bucket cascades and the `(time, seq)`
+//! total order — which the determinism guarantee rests on — is preserved
+//! for free. See DESIGN.md §5.1.)
 //!
-//! * **Cancellable timers** ([`Ctx::arm_timer`] → [`TimerHandle`]) are the
-//!   fast path for anything that is routinely superseded (RTO restarts,
-//!   delayed-ACK, link service completions). Cancelling or rescheduling is
-//!   O(1): the slab entry is invalidated and the already-queued heap entry
-//!   becomes a *tombstone* that is discarded with a single generation check
-//!   when it surfaces. A live-entry counter triggers heap compaction when
-//!   tombstones dominate, so the calendar never grows unboundedly with
-//!   superseded timers. (A hierarchical timer wheel was the alternative
-//!   design; the tombstone heap benches faster here because cancellations
-//!   are O(1) without bucket cascades and the `(time, seq)` total order —
-//!   which the determinism guarantee rests on — is preserved for free. See
-//!   DESIGN.md §5.1.)
-//! * **Raw timers** ([`Ctx::set_timer`] / [`World::schedule`] with
-//!   [`Event::Timer`]) are fire-and-forget: never cancelled by the engine.
-//!   The harness uses them for one-shot kickoffs (e.g. connection opens).
+//! The harness, outside any agent, kicks agents off with [`World::schedule`]
+//! and an [`Event::Timer`] (e.g. connection opens); those events are never
+//! cancelled.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -83,11 +81,11 @@ pub enum Event {
         /// The frame itself.
         frame: Frame,
     },
-    /// A timer fired. Both raw timers ([`Ctx::set_timer`]) and cancellable
-    /// timers ([`Ctx::arm_timer`]) deliver this event; the `token` is the
-    /// value the agent supplied when arming.
+    /// A timer fired: one armed with [`Ctx::arm_timer`], or one the
+    /// harness scheduled with [`World::schedule`]. The `token` is the value
+    /// supplied when it was armed or scheduled.
     Timer {
-        /// Token passed to [`Ctx::set_timer`] / [`Ctx::arm_timer`].
+        /// Token passed to [`Ctx::arm_timer`] / [`World::schedule`].
         token: u64,
     },
 }
@@ -105,10 +103,9 @@ pub trait Agent: Any {
 
 /// Handle to a cancellable timer armed with [`Ctx::arm_timer`].
 ///
-/// Handles are generation-checked: once the timer fires, is cancelled, or
-/// is rescheduled, the old handle goes stale and all operations on it are
-/// harmless no-ops (`cancel_timer` returns `false`, `reschedule_timer`
-/// returns `None`).
+/// Handles are generation-checked: once the timer fires or is cancelled,
+/// the handle goes stale and cancelling it again is a harmless no-op
+/// (`cancel_timer` returns `false`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TimerHandle {
     slot: u32,
@@ -274,17 +271,9 @@ impl<'a> Ctx<'a> {
         self.push(self.now + delay, dst, QueuedEv::Api(Event::Frame { port, frame }));
     }
 
-    /// Arrange for [`Event::Timer`] with `token` to fire on this agent after
-    /// `delay`. Raw path: the timer cannot be cancelled; agents that rearm
-    /// raw timers must detect stale deliveries themselves. Prefer
-    /// [`Ctx::arm_timer`] for anything that can be superseded.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.push(self.now + delay, self.self_id, QueuedEv::Api(Event::Timer { token }));
-    }
-
-    /// Arm a cancellable timer: [`Event::Timer`] with `token` fires on this
-    /// agent after `delay` unless the returned handle is cancelled or
-    /// rescheduled first. The handle goes stale once the timer fires.
+    /// Arm a timer: [`Event::Timer`] with `token` fires on this agent after
+    /// `delay` unless the returned handle is cancelled first. The handle
+    /// goes stale once the timer fires.
     pub fn arm_timer(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
         let h = self.timers.arm(self.self_id, token);
         self.push(
@@ -304,15 +293,6 @@ impl<'a> Ctx<'a> {
         } else {
             false
         }
-    }
-
-    /// Move a pending timer to fire after `delay` instead, keeping its
-    /// token. Returns the replacement handle, or `None` if `h` was stale
-    /// (already fired or cancelled) — in that case arm a fresh timer.
-    pub fn reschedule_timer(&mut self, h: TimerHandle, delay: SimDuration) -> Option<TimerHandle> {
-        let token = self.timers.disarm(h)?;
-        *self.dead_entries += 1;
-        Some(self.arm_timer(delay, token))
     }
 
     /// Record a drop event at the current time.
@@ -335,7 +315,7 @@ pub enum RunOutcome {
 /// Event-loop counters, exposed for benches and perf regression tracking.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Tombstoned timer entries discarded at pop (cancelled/rescheduled).
+    /// Tombstoned timer entries discarded at pop (cancelled).
     pub stale_timer_pops: u64,
     /// Heap compactions performed.
     pub compactions: u64,
@@ -348,7 +328,7 @@ pub struct World {
     agents: Vec<Option<Box<dyn Agent>>>,
     timers: TimerSlab,
     /// Queued heap entries known to be tombstones (their slab generation
-    /// was bumped by cancel/reschedule). Drives compaction.
+    /// was bumped by cancel). Drives compaction.
     dead_entries: usize,
     /// Persistent staging buffer for events scheduled inside a handler;
     /// capacity adapts to the observed per-dispatch fan-out, so the steady
@@ -806,8 +786,6 @@ mod tests {
         arm_on_start: Vec<(u64, u64)>,
         /// Tokens to cancel right after arming (by arm index).
         cancel_idx: Vec<usize>,
-        /// (arm index, new delay) reschedules right after arming.
-        resched: Vec<(usize, u64)>,
         handles: Vec<TimerHandle>,
         fired: Vec<(SimTime, u64)>,
     }
@@ -822,12 +800,6 @@ mod tests {
                     }
                     for &i in &self.cancel_idx.clone() {
                         assert!(ctx.cancel_timer(self.handles[i]));
-                    }
-                    for &(i, delay) in &self.resched.clone() {
-                        let h = ctx
-                            .reschedule_timer(self.handles[i], SimDuration::from_millis(delay))
-                            .expect("live handle");
-                        self.handles[i] = h;
                     }
                 }
                 Event::Timer { token } => self.fired.push((ctx.now(), token)),
@@ -864,23 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn reschedule_moves_fire_time_both_directions() {
-        let mut w = World::new(1, TraceLevel::Off);
-        let a = w.add_agent(Box::new(TimerScript {
-            arm_on_start: vec![(10, 1), (20, 2)],
-            // Push token 1 later than token 2; pull token 2 earlier.
-            resched: vec![(0, 50), (1, 5)],
-            ..Default::default()
-        }));
-        w.run_until_idle();
-        let s = w.agent::<TimerScript>(a).unwrap();
-        assert_eq!(
-            s.fired,
-            vec![(SimTime::from_millis(5), 2), (SimTime::from_millis(50), 1)]
-        );
-    }
-
-    #[test]
     fn stale_handles_are_noops() {
         struct Stale {
             h: Option<TimerHandle>,
@@ -895,10 +850,8 @@ mod tests {
                     Event::Timer { .. } => {
                         self.fired += 1;
                         let h = self.h.expect("armed");
-                        // Fired → handle is stale: cancel and reschedule
-                        // both report that.
+                        // Fired → handle is stale: cancel reports that.
                         assert!(!ctx.cancel_timer(h));
-                        assert!(ctx.reschedule_timer(h, SimDuration::from_millis(1)).is_none());
                     }
                     Event::Frame { .. } => {}
                 }
@@ -979,7 +932,8 @@ mod tests {
                         // (instead of popping stale) until compaction eats it.
                         let doomed = ctx.arm_timer(SimDuration::from_secs(900), 0);
                         let moved = ctx.arm_timer(SimDuration::from_millis(7), 2);
-                        ctx.reschedule_timer(moved, SimDuration::from_millis(3));
+                        ctx.cancel_timer(moved);
+                        ctx.arm_timer(SimDuration::from_millis(3), 2);
                         ctx.cancel_timer(doomed);
                         self.h = Some(ctx.arm_timer(SimDuration::from_millis(1), 1));
                     }
@@ -1008,8 +962,8 @@ mod tests {
 
     #[test]
     fn compaction_preserves_event_order() {
-        // Interleave cancellations with same-time raw events and live
-        // timers, force a compaction, and confirm insertion order holds.
+        // Interleave same-time frames, live timers and enough cancelled
+        // timers to force a compaction, and confirm insertion order holds.
         struct Orderly {
             fired: Vec<u64>,
         }
@@ -1018,19 +972,21 @@ mod tests {
                 match ev {
                     Event::Start => {
                         let t = SimDuration::from_millis(10);
-                        for token in 0..2000u64 {
-                            if token % 2 == 0 {
-                                ctx.set_timer(t, token);
+                        for token in 0..4000u64 {
+                            if token % 8 == 0 {
+                                let me = ctx.self_id();
+                                let tag = Frame::tagged(Bytes::new(), token as u16);
+                                ctx.send_frame(me, 0, t, tag);
                             } else {
                                 let h = ctx.arm_timer(t, token);
-                                if token % 4 == 1 {
+                                if token % 8 > 1 {
                                     ctx.cancel_timer(h);
                                 }
                             }
                         }
                     }
                     Event::Timer { token } => self.fired.push(token),
-                    Event::Frame { .. } => {}
+                    Event::Frame { frame, .. } => self.fired.push(u64::from(frame.meta)),
                 }
             }
             fn as_any(&self) -> &dyn Any {
@@ -1043,7 +999,8 @@ mod tests {
         let mut w = World::new(1, TraceLevel::Off);
         let a = w.add_agent(Box::new(Orderly { fired: vec![] }));
         w.run_until_idle();
-        let expect: Vec<u64> = (0..2000u64).filter(|t| t % 4 != 1).collect();
+        assert_eq!(w.stats().compactions, 1);
+        let expect: Vec<u64> = (0..4000u64).filter(|t| t % 8 < 2).collect();
         assert_eq!(w.agent::<Orderly>(a).unwrap().fired, expect);
     }
 }
